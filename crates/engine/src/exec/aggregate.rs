@@ -446,7 +446,7 @@ fn spill_aggregate_inner(
 /// `first_rows` / insertion-ordered `keys` — so swapping the hasher cannot
 /// change any result.
 #[derive(Clone, Default)]
-struct FxBuild;
+pub(super) struct FxBuild;
 
 impl std::hash::BuildHasher for FxBuild {
     type Hasher = FxHasher;
@@ -456,7 +456,7 @@ impl std::hash::BuildHasher for FxBuild {
     }
 }
 
-struct FxHasher(u64);
+pub(super) struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]
@@ -715,7 +715,7 @@ impl SlotAgg {
     fn empty_state(self) -> AggState {
         match self {
             SlotAgg::CountStar | SlotAgg::CountIf => AggState::Count(Vec::new()),
-            SlotAgg::CountDistinct => AggState::Distinct(Vec::new()),
+            SlotAgg::CountDistinct => AggState::distinct(),
             SlotAgg::SumDec(s) => AggState::SumDec(Vec::new(), s),
             SlotAgg::SumInt => AggState::SumInt(Vec::new()),
             SlotAgg::AvgFixed(s) => {
@@ -733,7 +733,7 @@ impl SlotAgg {
 /// Per-aggregate accumulator state, one slot per group.
 pub(super) enum AggState {
     Count(Vec<i64>),
-    Distinct(Vec<HashSet<i64>>),
+    Distinct { seen: DistinctSet, counts: Vec<i64> },
     SumDec(Vec<i128>, u8),
     SumInt(Vec<i64>),
     SumFloat(Vec<f64>),
@@ -742,12 +742,30 @@ pub(super) enum AggState {
     MinMax { best: Vec<Option<Value>>, want_min: bool, dtype: DataType },
 }
 
+/// `count(distinct)` state: one flat set of `(group id, value)` pairs for
+/// all groups, next to each group's count, which is bumped when a pair is
+/// first inserted. Only the counts are observed, so the set's iteration
+/// order (and with it the hasher) cannot change a result.
+type DistinctSet = HashSet<(u32, i64), FxBuild>;
+
 impl AggState {
+    fn distinct() -> AggState {
+        AggState::Distinct { seen: HashSet::default(), counts: Vec::new() }
+    }
+
+    /// Records `x` for group `g` of a `count(distinct)` state.
+    #[inline]
+    fn insert_distinct(seen: &mut DistinctSet, counts: &mut [i64], g: u32, x: i64) {
+        if seen.insert((g, x)) {
+            counts[g as usize] += 1;
+        }
+    }
+
     /// An empty state matching the input/function pairing of `input`.
     fn empty_like(input: &AggInput) -> AggState {
         match input {
             AggInput::None | AggInput::Mask(_) => AggState::Count(Vec::new()),
-            AggInput::Encoded(_) => AggState::Distinct(Vec::new()),
+            AggInput::Encoded(_) => AggState::distinct(),
             AggInput::Dec(_, s) => AggState::SumDec(Vec::new(), *s),
             AggInput::I64(_) | AggInput::I32(_) => AggState::SumInt(Vec::new()),
             AggInput::SumF64(_) => AggState::SumFloat(Vec::new()),
@@ -763,8 +781,9 @@ impl AggState {
 
     pub(super) fn grow_to(&mut self, ngroups: usize) {
         match self {
-            AggState::Count(v) | AggState::SumInt(v) => v.resize(ngroups, 0),
-            AggState::Distinct(v) => v.resize_with(ngroups, HashSet::new),
+            AggState::Count(v) | AggState::SumInt(v) | AggState::Distinct { counts: v, .. } => {
+                v.resize(ngroups, 0)
+            }
             AggState::SumDec(v, _) => v.resize(ngroups, 0),
             AggState::SumFloat(v) => v.resize(ngroups, 0.0),
             AggState::AvgFixed { sum, cnt, .. } => {
@@ -784,8 +803,8 @@ impl AggState {
         match (self, input) {
             (AggState::Count(v), AggInput::None) => v[g] += 1,
             (AggState::Count(v), AggInput::Mask(m)) => v[g] += i64::from(m[i]),
-            (AggState::Distinct(v), AggInput::Encoded(e)) => {
-                v[g].insert(e[i]);
+            (AggState::Distinct { seen, counts }, AggInput::Encoded(e)) => {
+                Self::insert_distinct(seen, counts, g as u32, e[i]);
             }
             (AggState::SumDec(v, _), AggInput::Dec(m, _)) => v[g] += m[i] as i128,
             (AggState::SumInt(v), AggInput::I64(x)) => v[g] += x[i],
@@ -824,9 +843,9 @@ impl AggState {
                     v[g as usize] += x;
                 }
             }
-            (AggState::Distinct(v), SlotAgg::CountDistinct) => {
+            (AggState::Distinct { seen, counts }, SlotAgg::CountDistinct) => {
                 for (&g, &x) in gids.iter().zip(input("count_distinct")) {
-                    v[g as usize].insert(x);
+                    Self::insert_distinct(seen, counts, g, x);
                 }
             }
             (AggState::SumDec(v, _), SlotAgg::SumDec(_)) => {
@@ -878,9 +897,10 @@ impl AggState {
                     g[gid_map[lg] as usize] += x;
                 }
             }
-            (AggState::Distinct(g), AggState::Distinct(l)) => {
-                for (lg, set) in l.into_iter().enumerate() {
-                    g[gid_map[lg] as usize].extend(set);
+            (AggState::Distinct { seen, counts }, AggState::Distinct { seen: l, .. }) => {
+                seen.reserve(l.len());
+                for (lg, x) in l {
+                    Self::insert_distinct(seen, counts, gid_map[lg as usize], x);
                 }
             }
             (AggState::SumDec(g, _), AggState::SumDec(l, _)) => {
@@ -922,9 +942,8 @@ impl AggState {
 
     pub(super) fn finish(self) -> Result<Column> {
         match self {
-            AggState::Count(v) | AggState::SumInt(v) => Ok(Column::Int64(v)),
-            AggState::Distinct(v) => {
-                Ok(Column::Int64(v.into_iter().map(|s| s.len() as i64).collect()))
+            AggState::Count(v) | AggState::SumInt(v) | AggState::Distinct { counts: v, .. } => {
+                Ok(Column::Int64(v))
             }
             AggState::SumDec(v, s) => {
                 let out: Vec<i64> = v

@@ -26,7 +26,7 @@ use crate::plan::JoinType;
 use crate::relation::Relation;
 use crate::stats::WorkProfile;
 use wimpi_obs::{MorselSink, MorselSpan, Span, Tracer};
-use wimpi_storage::{Column, DataType, DictBuilder};
+use wimpi_storage::{Column, DataType};
 
 /// Estimated bytes per build-side row per key in the hash table — the same
 /// constant the work profile charges to `hash_bytes`, so the governor's
@@ -716,6 +716,8 @@ fn attach_phases(
 }
 
 /// Gathers rows, substituting a type default where the index is `NONE_ROW`.
+/// Strings get a compact dictionary laid out exactly as interning the rows
+/// would lay it out (see [`wimpi_storage::DictColumn::take_compact`]).
 fn take_optional(col: &Column, sel: &[u32]) -> Column {
     match col {
         Column::Int64(v) => Column::Int64(
@@ -737,13 +739,7 @@ fn take_optional(col: &Column, sel: &[u32]) -> Column {
         Column::Bool(v) => {
             Column::Bool(sel.iter().map(|&i| i != NONE_ROW && v[i as usize]).collect())
         }
-        Column::Str(d) => {
-            let mut b = DictBuilder::with_capacity(sel.len());
-            for &i in sel {
-                b.push(if i == NONE_ROW { "" } else { d.get(i as usize) });
-            }
-            Column::Str(b.finish())
-        }
+        Column::Str(d) => Column::Str(d.take_compact(sel, NONE_ROW)),
     }
 }
 

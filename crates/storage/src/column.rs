@@ -120,11 +120,10 @@ impl Column {
     /// Copies the contiguous row range `r` into a new column — the morsel
     /// slice used by the engine's parallel kernels (`crate::morsel`).
     ///
-    /// Dictionary columns slice their codes but clone the full dictionary:
-    /// codes stay valid without re-interning, and the values vector is tiny
-    /// next to the code payload for TPC-H's low-cardinality strings. Kernels
-    /// that would pay per-morsel dictionary work (LIKE over a near-unique
-    /// comment pool) operate on code slices directly instead of slicing.
+    /// Dictionary columns copy their codes and share the source dictionary
+    /// (see [`DictColumn`]), so codes stay valid without re-interning and a
+    /// slice costs the same whether the dictionary holds three values or,
+    /// like `o_comment`'s at SF 0.1, 58 803.
     pub fn slice(&self, r: std::ops::Range<usize>) -> Column {
         match self {
             Column::Int64(v) => Column::Int64(v[r].to_vec()),
@@ -216,12 +215,10 @@ impl Column {
             Value::F64(v) => Column::Float64(vec![*v; n]),
             Value::Dec(d) => Column::Decimal(vec![d.mantissa(); n], d.scale()),
             Value::Date(d) => Column::Date(vec![d.0; n]),
+            // The layout a builder fed `s` `n` times produces, unhashed.
             Value::Str(s) => {
-                let mut b = DictBuilder::with_capacity(n);
-                for _ in 0..n {
-                    b.push(s);
-                }
-                Column::Str(b.finish())
+                let values = if n == 0 { Vec::new() } else { vec![s.clone()] };
+                Column::Str(DictColumn::from_parts(vec![0; n], values))
             }
             Value::Bool(b) => Column::Bool(vec![*b; n]),
         }
@@ -341,6 +338,17 @@ mod tests {
         assert_eq!(c.as_str().unwrap().cardinality(), 1);
         let c = Column::repeat(&Value::Dec(Decimal64::new(5, 2)), 2);
         assert_eq!(c.as_decimal().unwrap().0, &[5, 5]);
+    }
+
+    #[test]
+    fn repeat_matches_interning_layout() {
+        for n in [0, 1, 5] {
+            let mut b = DictBuilder::new();
+            for _ in 0..n {
+                b.push("lit");
+            }
+            assert_eq!(Column::repeat(&Value::Str("lit".into()), n), Column::Str(b.finish()));
+        }
     }
 
     #[test]

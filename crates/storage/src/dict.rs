@@ -8,12 +8,27 @@
 //! trade-off against raw strings.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An immutable dictionary-encoded string column.
+///
+/// The dictionary is shared and immutable: [`DictColumn::take`] and
+/// [`DictColumn::slice`] gather only the `u32` codes and hand the result the
+/// same `Arc`, so a gather costs the same whatever the cardinality
+/// (`o_comment`'s dictionary holds 58 803 values at SF 0.1). Values are distinct
+/// within a dictionary (the [`DictBuilder`] invariant, which
+/// [`DictColumn::take_compact`] relies on).
+///
+/// Dictionary *layout* is observable: the engine charges some string kernels
+/// `n + cardinality` cpu ops, so which values a gathered column carries, and
+/// in what order, is part of a query's `WorkProfile`. Gathers that must build
+/// a fresh dictionary ([`DictColumn::take_compact`]) therefore reproduce
+/// exactly what interning the rows through a [`DictBuilder`] would: only the
+/// used values, in first-seen row order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DictColumn {
     codes: Vec<u32>,
-    values: Vec<String>,
+    values: Arc<Vec<String>>,
 }
 
 impl DictColumn {
@@ -72,7 +87,7 @@ impl DictColumn {
             codes.iter().all(|&c| (c as usize) < values.len().max(1)),
             "every code must index the dictionary"
         );
-        DictColumn { codes, values }
+        DictColumn { codes, values: Arc::new(values) }
     }
 
     /// Looks up the code of an exact value, if present. O(cardinality); use
@@ -81,7 +96,9 @@ impl DictColumn {
         self.values.iter().position(|v| v == value).map(|p| p as u32)
     }
 
-    /// Heap bytes held by the column (codes + dictionary payload).
+    /// Heap bytes of the column: codes plus the full dictionary payload. A
+    /// shared dictionary is counted by every column that references it, so
+    /// memory accounting does not depend on how gathers share dictionaries.
     pub fn heap_bytes(&self) -> usize {
         self.codes.len() * std::mem::size_of::<u32>()
             + self
@@ -91,19 +108,51 @@ impl DictColumn {
                 .sum::<usize>()
     }
 
-    /// Builds a new column containing the rows selected by `sel`, reusing
-    /// this column's dictionary (codes stay valid).
+    /// Builds a new column containing the rows selected by `sel`. Only the
+    /// codes are gathered; the result shares this column's dictionary.
     pub fn take(&self, sel: &[u32]) -> DictColumn {
         DictColumn {
             codes: sel.iter().map(|&i| self.codes[i as usize]).collect(),
-            values: self.values.clone(),
+            values: Arc::clone(&self.values),
         }
     }
 
-    /// Copies the contiguous code range `r`, reusing this column's
-    /// dictionary (codes stay valid) — see [`crate::Column::slice`].
+    /// Copies the contiguous code range `r`, sharing this column's
+    /// dictionary — see [`crate::Column::slice`].
     pub fn slice(&self, r: std::ops::Range<usize>) -> DictColumn {
-        DictColumn { codes: self.codes[r].to_vec(), values: self.values.clone() }
+        DictColumn { codes: self.codes[r].to_vec(), values: Arc::clone(&self.values) }
+    }
+
+    /// Gathers the rows named by `sel` into a column with its own compact
+    /// dictionary; an index equal to `none_row` yields `""` (an outer
+    /// join's unmatched row).
+    ///
+    /// The result is identical, codes and values, to pushing the decoded
+    /// rows through a [`DictBuilder`]: used values in first-seen row order,
+    /// with `none_row` and a real `""` value sharing one code. Codes are
+    /// remapped through a cardinality-sized table, so each row costs an
+    /// array lookup and each used value is cloned once.
+    pub fn take_compact(&self, sel: &[u32], none_row: u32) -> DictColumn {
+        const UNSEEN: u32 = u32::MAX;
+        let mut remap = vec![UNSEEN; self.values.len()];
+        // `none_row` decodes as "", so it takes the real "" value's slot.
+        let empty = self.code_of("").map(|c| c as usize);
+        let mut none_code = UNSEEN;
+        let mut values = Vec::new();
+        let mut codes = Vec::with_capacity(sel.len());
+        for &i in sel {
+            let src = if i == none_row { empty } else { Some(self.codes[i as usize] as usize) };
+            let slot = match src {
+                Some(c) => &mut remap[c],
+                None => &mut none_code,
+            };
+            if *slot == UNSEEN {
+                *slot = values.len() as u32;
+                values.push(src.map_or_else(String::new, |c| self.values[c].clone()));
+            }
+            codes.push(*slot);
+        }
+        DictColumn { codes, values: Arc::new(values) }
     }
 
     /// Iterates decoded values in row order.
@@ -167,7 +216,7 @@ impl DictBuilder {
 
     /// Finalizes the column.
     pub fn finish(self) -> DictColumn {
-        DictColumn { codes: self.codes, values: self.values }
+        DictColumn { codes: self.codes, values: Arc::new(self.values) }
     }
 }
 
@@ -205,6 +254,52 @@ mod tests {
         assert_eq!(t.get(0), "RAIL");
         assert_eq!(t.get(1), "RAIL");
         assert_eq!(t.cardinality(), c.cardinality());
+    }
+
+    const NONE: u32 = u32::MAX;
+
+    /// What `take_compact` must reproduce: the decoded rows interned
+    /// through a builder, `NONE` as `""`.
+    fn interned(src: &DictColumn, sel: &[u32]) -> DictColumn {
+        let mut b = DictBuilder::new();
+        for &i in sel {
+            b.push(if i == NONE { "" } else { src.get(i as usize) });
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn take_compact_matches_interning() {
+        let plain = sample();
+        let with_empty: DictColumn = ["x", "", "y", "x", ""].into_iter().collect();
+        let cases: [(&DictColumn, &[u32]); 8] = [
+            (&plain, &[4, 1, 0, 0]),
+            (&plain, &[]),
+            (&plain, &[NONE, NONE]),
+            (&plain, &[2, NONE, 3, NONE]),
+            // `NONE` before and after a real "" row must share its code.
+            (&with_empty, &[NONE, 2, 1, 4, NONE]),
+            (&with_empty, &[0, 1, NONE, 3]),
+            (&with_empty, &[2, 0]),
+            (&with_empty, &[]),
+        ];
+        for (src, sel) in cases {
+            let got = src.take_compact(sel, NONE);
+            let want = interned(src, sel);
+            assert_eq!(got.codes(), want.codes(), "codes for {sel:?}");
+            assert_eq!(got.values(), want.values(), "values for {sel:?}");
+        }
+    }
+
+    /// Gathers and morsel slices must share the source dictionary rather
+    /// than deep-copy it, whatever the dictionary's size.
+    #[test]
+    fn take_and_slice_share_the_dictionary() {
+        let src = crate::Column::Str(sample());
+        let d = src.as_str().unwrap();
+        for out in [src.take(&[3, 0, 2]), src.slice(1..3), src.take(&[])] {
+            assert!(Arc::ptr_eq(&out.as_str().unwrap().values, &d.values));
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property-based tests for the storage primitives: decimal arithmetic,
-//! calendar conversion, dictionary interning.
+//! calendar conversion, dictionary interning and compacting gathers.
 
 use proptest::prelude::*;
 use wimpi_storage::{Date32, Decimal64, DictBuilder};
@@ -101,5 +101,29 @@ proptest! {
         for (out, &mid) in s2.iter().enumerate() {
             prop_assert_eq!(t2.get(out), d.get(s1[mid as usize] as usize));
         }
+    }
+
+    /// `take_compact` equals interning the decoded rows (unmatched rows as
+    /// "") through a builder, codes and dictionary both — including where
+    /// "" lands when the source dictionary holds a real "" too.
+    #[test]
+    fn dict_take_compact_equals_interning(
+        words in prop::collection::vec("[a-c]{0,2}", 1..60),
+        picks in prop::collection::vec((any::<prop::sample::Index>(), any::<bool>()), 0..80),
+    ) {
+        const NONE: u32 = u32::MAX;
+        let d: wimpi_storage::DictColumn = words.iter().map(String::as_str).collect();
+        let sel: Vec<u32> = picks
+            .iter()
+            .map(|(i, unmatched)| if *unmatched { NONE } else { i.index(words.len()) as u32 })
+            .collect();
+        let mut b = DictBuilder::new();
+        for &i in &sel {
+            b.push(if i == NONE { "" } else { d.get(i as usize) });
+        }
+        let want = b.finish();
+        let got = d.take_compact(&sel, NONE);
+        prop_assert_eq!(got.codes(), want.codes());
+        prop_assert_eq!(got.values(), want.values());
     }
 }
